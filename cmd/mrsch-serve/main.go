@@ -1,14 +1,16 @@
 // Command mrsch-serve is the scheduler-as-a-service decision daemon: it
 // loads a trained MRSch model (mrsch-train output) and answers "here is
-// the queue and the cluster state, what do I schedule next?" over TCP,
-// coalescing concurrent requests into batched forward passes. Served
+// the queue and the cluster state, what do I schedule next?" over TCP.
+// Admission is work-conserving: a free batcher dispatches at once with
+// every request already queued (up to -max-batch) in one batched forward
+// pass, so batches form under load and a lone request never waits. Served
 // decisions are byte-identical to offline core.MRSch decisions for the
 // same model and state, at every batch size — see the internal/serve
 // package documentation for the full contract.
 //
 // Usage:
 //
-//	mrsch-serve -model mrsch-S4.model [-scale quick|standard] [-listen :7643] [-max-batch 16] [-max-wait 200us]
+//	mrsch-serve -model mrsch-S4.model [-scale quick|standard] [-listen :7643] [-max-batch 16]
 //
 // SIGHUP re-reads -model and hot-swaps the weights without dropping a
 // request; clients can do the same remotely over the swap admin frame.
@@ -39,7 +41,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/nn"
@@ -51,8 +52,7 @@ func main() {
 	model := flag.String("model", "", "trained weights file (mrsch-train output); empty serves the untrained network")
 	scaleFlag := flag.String("scale", "quick", "system scale the model was trained at: quick or standard")
 	listen := flag.String("listen", "127.0.0.1:7643", "TCP listen address")
-	maxBatch := flag.Int("max-batch", 16, "max concurrent requests coalesced into one forward pass")
-	maxWait := flag.Duration("max-wait", 200*time.Microsecond, "max time the first request of a batch waits for company (0 = no waiting)")
+	maxBatch := flag.Int("max-batch", 16, "max queued requests coalesced into one forward pass")
 	loadgen := flag.Bool("loadgen", false, "run as load generator instead of daemon")
 	connect := flag.String("connect", "", "loadgen: daemon address to hammer")
 	clients := flag.Int("clients", 2, "loadgen: concurrent clients")
@@ -81,7 +81,7 @@ func main() {
 		}
 		return
 	}
-	if err := runDaemon(sc, *model, *listen, *maxBatch, *maxWait, *telemetryAddr, *journalPath); err != nil {
+	if err := runDaemon(sc, *model, *listen, *maxBatch, *telemetryAddr, *journalPath); err != nil {
 		fmt.Fprintf(os.Stderr, "mrsch-serve: %v\n", err)
 		os.Exit(1)
 	}
@@ -89,7 +89,7 @@ func main() {
 
 // runDaemon serves decisions until SIGINT/SIGTERM, hot-swapping the model
 // file on SIGHUP.
-func runDaemon(sc experiments.Scale, model, listen string, maxBatch int, maxWait time.Duration, telemetryAddr, journalPath string) error {
+func runDaemon(sc experiments.Scale, model, listen string, maxBatch int, telemetryAddr, journalPath string) error {
 	logger := telemetry.NewLogger(os.Stderr, "mrsch-serve")
 	// Telemetry is contract-neutral (serve doc rule 7): both knobs are
 	// plain opt-ins that cannot perturb decision bytes.
@@ -131,7 +131,6 @@ func runDaemon(sc experiments.Scale, model, listen string, maxBatch int, maxWait
 	sys := sc.System()
 	srv, err := serve.NewServer(agent, sys, serve.Config{
 		MaxBatch: maxBatch,
-		MaxWait:  maxWait,
 		Metrics:  reg,
 		Journal:  journal,
 		Logf: func(format string, args ...any) {
@@ -147,7 +146,7 @@ func runDaemon(sc experiments.Scale, model, listen string, maxBatch int, maxWait
 	}
 	logger.Event("kernel", "set", nn.KernelName(), "features", nn.KernelFeatures())
 	logger.Event("serving", "system", sys.Name, "addr", ln.Addr(), "window", agent.Enc.Window,
-		"model_version", srv.ModelVersion(), "max_batch", maxBatch, "max_wait", maxWait, "kernel", nn.KernelName())
+		"model_version", srv.ModelVersion(), "max_batch", maxBatch, "kernel", nn.KernelName())
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)

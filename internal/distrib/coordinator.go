@@ -516,8 +516,16 @@ func (c *coordinator) requeue(cell, attempts int) {
 	c.event(Event{Kind: EventRequeue, Worker: -1, Cell: cell, Attempt: attempts})
 }
 
-// dispatch hands eligible queued cells to ready idle workers.
+// dispatch hands eligible queued cells to ready idle workers. Nothing is
+// assigned until every live worker has finished its handshake (a worker
+// that never does is severed by the heartbeat timeout), so the first
+// assignments go out in worker order whichever connection came up first.
 func (c *coordinator) dispatch() {
+	for _, w := range c.workers {
+		if w.alive && !w.ready {
+			return
+		}
+	}
 	now := time.Now()
 	for _, w := range c.workers {
 		if !w.alive || !w.ready || !w.idle {
@@ -566,15 +574,40 @@ func (c *coordinator) checkTimeouts() {
 	}
 }
 
-// shutdown ends surviving workers cleanly and releases the readers.
+// shutdown ends surviving workers cleanly and releases the readers. A
+// worker closes its end once it has handled the shutdown frame, after every
+// frame it sent before it, so draining each surviving worker's reader until
+// its stream ends handles all of them: a duplicate is still reported, a late
+// result still collated. A worker that has not closed within the heartbeat
+// timeout is cut off.
 func (c *coordinator) shutdown() {
+	open := make(map[*workerState]bool)
 	for _, w := range c.workers {
 		if !w.alive {
 			continue
 		}
-		writeFrame(w.conn, &message{Type: msgShutdown}) // best effort
-		w.conn.Close()
 		w.alive = false
+		open[w] = true
+		if err := writeFrame(w.conn, &message{Type: msgShutdown}); err != nil {
+			w.conn.Close()
+		}
+	}
+	deadline := time.NewTimer(c.opt.HeartbeatTimeout)
+	defer deadline.Stop()
+	for len(open) > 0 {
+		select {
+		case ev := <-c.events:
+			if ev.err == nil {
+				c.handleEvent(ev)
+			} else if open[ev.w] {
+				ev.w.conn.Close()
+				delete(open, ev.w)
+			}
+		case <-deadline.C:
+			for w := range open {
+				w.conn.Close()
+			}
+		}
 	}
 	close(c.loopDone)
 }

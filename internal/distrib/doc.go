@@ -25,9 +25,11 @@
 //  2. Collation is exactly-once by first-valid-result-wins. The first
 //     result frame for a cell is collated; every later copy — a duplicated
 //     frame, or a retry racing a slow worker whose result then arrives —
-//     is dropped as a duplicate. A late result from a presumed-dead worker
-//     is still accepted if its cell is uncollated: by rule 1 it is the
-//     same bytes any retry would produce.
+//     is dropped as a duplicate, including a copy sent just before the
+//     last cell was collated: shutdown drains each surviving worker until
+//     it closes its end. A late result from a presumed-dead worker is
+//     still accepted if its cell is uncollated: by rule 1 it is the same
+//     bytes any retry would produce.
 //
 //  3. A cell evaluation error reported by a worker is terminal. By rule 1
 //     the failure is deterministic — retrying elsewhere fails identically
@@ -36,6 +38,9 @@
 //  4. Liveness is proven, not assumed. Workers heartbeat between results;
 //     a worker silent past the heartbeat timeout, or holding one cell past
 //     the per-cell deadline, is severed and its in-flight cell requeued.
+//     No cell is assigned until every live worker has handshaken (one that
+//     never does is severed by the same timeout), so the first assignments
+//     go out in worker order however the connections came up.
 //
 //  5. Damage is death. A frame with a bad length, checksum, or encoding —
 //     or a result carrying the wrong campaign fingerprint — marks the

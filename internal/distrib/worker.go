@@ -53,8 +53,9 @@ type worker struct {
 }
 
 // ServeWorker speaks the worker protocol on conn until shutdown, a severed
-// connection, or an injected fault. It is the body of `mrsch-exp -worker`
-// and runs in-process (over a pipe) in the fault-injection tests.
+// connection, or an injected fault; on shutdown it closes conn. It is the
+// body of `mrsch-exp -worker` and runs in-process (over a pipe) in the
+// fault-injection tests.
 func ServeWorker(conn io.ReadWriteCloser, opt WorkerOptions) error {
 	logf := opt.Logf
 	if logf == nil {
@@ -99,7 +100,10 @@ func ServeWorker(conn io.ReadWriteCloser, opt WorkerOptions) error {
 				return err
 			}
 		case msgShutdown:
+			// Closing tells the coordinator this worker has sent its last
+			// frame.
 			w.logf("worker %d: shutdown after %d cell(s)", w.id, w.assigned)
+			conn.Close()
 			return nil
 		default:
 			return fmt.Errorf("distrib: worker: unexpected %s frame", m.Type)

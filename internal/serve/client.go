@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -21,6 +22,8 @@ func (e *RequestError) Error() string { return e.Msg }
 type Client struct {
 	mu      sync.Mutex
 	rwc     io.ReadWriteCloser
+	r       *bufio.Reader
+	fw      frameWriter
 	nextID  uint64
 	welcome message
 }
@@ -43,10 +46,11 @@ func Dial(addr string) (*Client, error) {
 // connection. It rejects a daemon speaking another protocol revision,
 // naming the peer's version.
 func NewClient(rwc io.ReadWriteCloser) (*Client, error) {
-	if err := writeMessage(rwc, &message{Type: msgHello, Proto: ProtocolVersion}); err != nil {
+	if err := writeHandshake(rwc, &message{Type: msgHello, Proto: ProtocolVersion}); err != nil {
 		return nil, fmt.Errorf("serve: sending hello: %w", err)
 	}
-	welcome, err := readMessage(rwc)
+	r := bufio.NewReader(rwc)
+	welcome, err := readHandshake(r)
 	if err != nil {
 		return nil, fmt.Errorf("serve: reading welcome: %w", err)
 	}
@@ -59,7 +63,7 @@ func NewClient(rwc io.ReadWriteCloser) (*Client, error) {
 	if welcome.Proto != ProtocolVersion {
 		return nil, fmt.Errorf("serve: server speaks protocol %d, client %d", welcome.Proto, ProtocolVersion)
 	}
-	return &Client{rwc: rwc, welcome: *welcome}, nil
+	return &Client{rwc: rwc, r: r, fw: frameWriter{w: rwc}, welcome: *welcome}, nil
 }
 
 // ModelVersion reports the daemon's model version at handshake time.
@@ -84,10 +88,10 @@ func (c *Client) Decide(req *Request) (pick int, version uint64, err error) {
 	defer c.mu.Unlock()
 	c.nextID++
 	id := c.nextID
-	if err := writeMessage(c.rwc, &message{Type: msgDecide, ID: id, Req: *req}); err != nil {
+	if err := c.fw.write(&message{Type: msgDecide, ID: id, Req: *req}); err != nil {
 		return -1, 0, fmt.Errorf("serve: sending request: %w", err)
 	}
-	m, err := readMessage(c.rwc)
+	m, err := readMessage(c.r)
 	if err != nil {
 		return -1, 0, fmt.Errorf("serve: reading decision: %w", err)
 	}
@@ -108,10 +112,10 @@ func (c *Client) Swap(weights []byte) (uint64, error) {
 	defer c.mu.Unlock()
 	c.nextID++
 	id := c.nextID
-	if err := writeMessage(c.rwc, &message{Type: msgSwap, ID: id, Weights: weights}); err != nil {
+	if err := c.fw.write(&message{Type: msgSwap, ID: id, Weights: weights}); err != nil {
 		return 0, fmt.Errorf("serve: sending swap: %w", err)
 	}
-	m, err := readMessage(c.rwc)
+	m, err := readMessage(c.r)
 	if err != nil {
 		return 0, fmt.Errorf("serve: reading swap ack: %w", err)
 	}

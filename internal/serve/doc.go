@@ -16,22 +16,28 @@
 //  1. Served decisions are byte-identical to offline ones. For any request,
 //     the daemon's answer equals core.MRSch.Pick (Train=false) on the same
 //     model and the same decision instant — bit for bit, at every batch
-//     size. Three mechanisms compose into this guarantee: gob preserves
-//     float64 bits on the wire, the daemon reconstructs the decision
-//     instant through the same cluster/encoder arithmetic the simulator
-//     uses (protocol.go), and the batched forward pass is row-wise bitwise
-//     identical to the single-sample path (dfp.BatchDecider; see
-//     internal/dfp/decide.go for the kernel argument). The
+//     size. Three mechanisms compose into this guarantee: the binary
+//     Decide codec carries every float64 as its raw math.Float64bits and
+//     every integer as an exact varint (protocol.go; the round-trip
+//     property and fuzz suites pin it bit for bit, NaN payloads and -0
+//     included), the daemon reconstructs the decision instant through the
+//     same cluster/encoder arithmetic the simulator uses (protocol.go),
+//     and the batched forward pass is row-wise bitwise identical to the
+//     single-sample path (dfp.BatchDecider; see internal/dfp/decide.go for
+//     the kernel argument). The
 //     serve-equivalence suite enforces this at batch sizes {1, 4, max},
 //     under whichever nn kernel set the process selected — the row-identity
 //     argument holds per set, and one process never mixes sets. Comparing
 //     served decisions against picks computed in another process requires
 //     the same kernel set on both sides (internal/nn "Kernel dispatch").
 //
-//  2. Admission batching is invisible. Concurrent requests coalesce into
-//     one batched forward pass — the first request of a batch waits at most
-//     MaxWait for at most MaxBatch-1 companions — but by rule 1 the batch a
-//     request lands in never changes its answer, only its latency.
+//  2. Admission batching is invisible. Batching is work-conserving: when
+//     the batcher is free it takes the oldest queued request plus whatever
+//     else is already queued, up to MaxBatch, and dispatches at once, so a
+//     lone request never waits for company and, under load, batches form
+//     from the requests that arrive while a forward pass runs. By rule 1
+//     the batch a request lands in never changes its answer, only its
+//     latency.
 //
 //  3. Swaps are atomic per batch. A weight swap (admin frame or SIGHUP)
 //     takes the engine's write lock, loads, publishes, and increments the
@@ -43,14 +49,18 @@
 //  4. Request-level failures keep the connection. A malformed request (bad
 //     geometry, overcommitted cluster state, empty queue) or a refused swap
 //     is answered with an error reply on an intact connection. Only frame
-//     damage — bad length, checksum, or encoding — kills the connection,
-//     with no resynchronization attempt (the internal/distrib rule 5
-//     discipline: damage is death).
+//     damage — bad length, checksum, or encoding (including a count the
+//     frame's remaining bytes cannot hold, or trailing bytes) — kills the
+//     connection, with no resynchronization attempt (the internal/distrib
+//     rule 5 discipline: damage is death).
 //
 //  5. Both sides reject a protocol mismatch, naming the peer. The daemon
 //     refuses a hello from another protocol revision and the client refuses
 //     such a welcome, each stating the peer's version and its own, so the
-//     operator of a mixed deployment knows which binary to upgrade.
+//     operator of a mixed deployment knows which binary to upgrade. The
+//     handshake frames stay gob, byte for byte as in protocol 1, so the
+//     rejection is readable across revisions; only the frames after it
+//     changed encoding in protocol 2.
 //
 //  6. Shutdown drains. After Shutdown begins, new connections and new
 //     requests are refused, but every already-admitted request is answered

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -163,6 +164,14 @@ func TestEngineDecidesLikePickAtEveryBatchSize(t *testing.T) {
 // requests coalesce into, every response must equal the offline decision
 // for that request. The daemon runs with telemetry instruments active,
 // enforcing rule 7 (telemetry is contract-neutral) alongside rule 1.
+//
+// Batching is work-conserving, so batches form only from requests that
+// queue while a forward pass runs. The test makes that happen on every run:
+// it holds the engine's write lock while the clients' first requests
+// arrive, so the batcher blocks in its first forward pass with at most
+// MaxBatch of them. With MaxBatch+2 clients at least two more queue behind
+// it, and the test releases the lock once two have, so the next batch
+// holds at least two requests.
 func TestDaemonMatchesOfflineOverTheWire(t *testing.T) {
 	sys := testSystem()
 	rng := rand.New(rand.NewSource(23))
@@ -173,34 +182,37 @@ func TestDaemonMatchesOfflineOverTheWire(t *testing.T) {
 	}
 	want := offlinePicks(t, testAgent(sys, 5), sys, reqs)
 
+	const maxBatch = 4
 	reg := telemetry.NewRegistry()
-	srv, err := NewServer(testAgent(sys, 5), sys, Config{
-		MaxBatch: 4,
-		MaxWait:  2 * time.Millisecond,
-		Metrics:  reg,
-	})
+	srv, err := NewServer(testAgent(sys, 5), sys, Config{MaxBatch: maxBatch, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := startServer(t, srv)
 
-	const clients = 4
+	const clients = maxBatch + 2
+	// The handshake reads the model version under the engine's read lock,
+	// so every client dials before the test takes the write lock.
+	conns := make([]*Client, clients)
+	for k := range conns {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if c.Window() != 6 {
+			t.Fatalf("client %d: window %d, want 6", k, c.Window())
+		}
+		conns[k] = c
+	}
+
+	srv.eng.mu.Lock()
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
-	for k := 0; k < clients; k++ {
+	for k, c := range conns {
 		wg.Add(1)
-		go func(k int) {
+		go func(k int, c *Client) {
 			defer wg.Done()
-			c, err := Dial(addr)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			if c.Window() != 6 {
-				errs <- fmt.Errorf("client %d: window %d, want 6", k, c.Window())
-				return
-			}
 			for i := range reqs {
 				pick, version, err := c.Decide(&reqs[i])
 				if err != nil {
@@ -216,8 +228,12 @@ func TestDaemonMatchesOfflineOverTheWire(t *testing.T) {
 					return
 				}
 			}
-		}(k)
+		}(k, c)
 	}
+	for len(srv.admit) < 2 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	srv.eng.mu.Unlock()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -238,8 +254,8 @@ func TestDaemonMatchesOfflineOverTheWire(t *testing.T) {
 	}
 	for _, h := range snap.Histograms {
 		if h.Name == "serve_batch_size" {
-			if h.Count != m["serve_batches_total"] || h.Max > 4 {
-				t.Errorf("serve_batch_size: count %d (batches %d), max %d (MaxBatch 4)", h.Count, m["serve_batches_total"], h.Max)
+			if h.Count != m["serve_batches_total"] || h.Max < 2 || h.Max > maxBatch {
+				t.Errorf("serve_batch_size: count %d (batches %d), max %d, want a max in [2, %d]", h.Count, m["serve_batches_total"], h.Max, maxBatch)
 			}
 		}
 	}
@@ -273,7 +289,7 @@ func TestHotSwapServesOldOrNewNeverABlend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := NewServer(testAgent(sys, 7), sys, Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	srv, err := NewServer(testAgent(sys, 7), sys, Config{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,10 +449,32 @@ func TestRequestErrorKeepsConnection(t *testing.T) {
 	}
 }
 
+// helloV1Frame is the hello frame a protocol-1 client sends: the handshake
+// is gob, byte for byte as in protocol 1, so peers on different revisions
+// can still read each other's version.
+const helloV1Frame = "000001a91c4ed121ff8f7f030101076d65737361676501ff8000010b010454797065010600010550726f746f01040001" +
+	"0c4d6f64656c56657273696f6e010600010657696e646f7701040001095265736f757263657301ff8200010a43617061636974696573" +
+	"01ff840001024944010600010352657101ff860001045069636b010400010757656967687473010a000103457272010c00000016ff81" +
+	"020101085b5d737472696e6701ff8200010c000013ff83020101055b5d696e7401ff84000104000035ff85030101075265717565737401" +
+	"ff8600010301034e6f770108000105517565756501ff8a00010752756e6e696e6701ff8e0000001aff890201010b5b5d73657276652e4a" +
+	"6f6201ff8a0001ff88000035ff87030101034a6f6201ff88000103010644656d616e6401ff8400010857616c6c74696d650108000106" +
+	"5375626d697401080000001cff8d0201010d5b5d73657276652e416c6c6f6301ff8e0001ff8c00003eff8b03010105416c6c6f6301ff8c" +
+	"00010401054a6f624944010400010644656d616e6401ff8400010553746172740108000106457374456e64010800000009ff800101010206" +
+	"0000"
+
 // TestHandshakeRejectsProtocolMismatch covers both directions of contract
-// rule 5: the daemon names a mismatched client's version, and the client
-// names a mismatched daemon's version.
+// rule 5, against a protocol-1 peer and one from the future: the daemon
+// names a mismatched client's version and its own, and the client names a
+// mismatched daemon's version and its own.
 func TestHandshakeRejectsProtocolMismatch(t *testing.T) {
+	var hello bytes.Buffer
+	if err := writeHandshake(&hello, &message{Type: msgHello, Proto: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(hello.Bytes()); got != helloV1Frame {
+		t.Fatalf("a protocol-1 hello encodes as\n%s\nwant the protocol-1 bytes\n%s", got, helloV1Frame)
+	}
+
 	sys := testSystem()
 	srv, err := NewServer(testAgent(sys, 13), sys, Config{})
 	if err != nil {
@@ -444,46 +482,61 @@ func TestHandshakeRejectsProtocolMismatch(t *testing.T) {
 	}
 	addr := startServer(t, srv)
 
-	// Daemon side: a hello from the future is refused, naming both versions.
-	rwc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rwc.Close()
-	if err := writeMessage(rwc, &message{Type: msgHello, Proto: ProtocolVersion + 7}); err != nil {
-		t.Fatal(err)
-	}
-	welcome, err := readMessage(rwc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if welcome.Err == "" {
-		t.Fatal("daemon accepted a mismatched protocol")
-	}
-	for _, fragment := range []string{"protocol 8", "server 1"} {
-		if !strings.Contains(welcome.Err, fragment) {
-			t.Fatalf("rejection %q does not contain %q", welcome.Err, fragment)
+	for _, peer := range []int{1, ProtocolVersion + 7} {
+		// Daemon side: the hello is refused, naming both versions.
+		rwc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if err := writeHandshake(rwc, &message{Type: msgHello, Proto: peer}); err != nil {
+			t.Fatal(err)
+		}
+		welcome, err := readHandshake(rwc)
+		rwc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if welcome.Err == "" || welcome.Proto != ProtocolVersion {
+			t.Fatalf("daemon accepted protocol %d: %+v", peer, welcome)
+		}
+		for _, fragment := range []string{fmt.Sprintf("protocol %d", peer), fmt.Sprintf("server %d", ProtocolVersion)} {
+			if !strings.Contains(welcome.Err, fragment) {
+				t.Fatalf("rejection %q does not contain %q", welcome.Err, fragment)
+			}
+		}
 
-	// Client side: a welcome from the future is refused, naming both
-	// versions. A goroutine plays the time-traveling daemon.
-	cliEnd, srvEnd := net.Pipe()
-	defer cliEnd.Close()
-	defer srvEnd.Close()
-	go func() {
-		if _, err := readMessage(srvEnd); err != nil {
-			return
-		}
-		writeMessage(srvEnd, &message{Type: msgWelcome, Proto: ProtocolVersion + 7})
-	}()
-	_, err = NewClient(cliEnd)
-	if err == nil {
-		t.Fatal("client accepted a mismatched protocol")
-	}
-	for _, fragment := range []string{"protocol 8", "client 1"} {
-		if !strings.Contains(err.Error(), fragment) {
-			t.Fatalf("client rejection %q does not contain %q", err, fragment)
+		// Client side: a goroutine plays a daemon speaking the peer's
+		// protocol. It answers as the protocol-1 daemon does, with its own
+		// version and, when it can read the hello, a rejection naming both;
+		// the client's error must name both versions either way.
+		for _, explain := range []bool{false, true} {
+			cliEnd, srvEnd := net.Pipe()
+			go func() {
+				defer srvEnd.Close()
+				hello, err := readHandshake(srvEnd)
+				if err != nil {
+					return
+				}
+				reply := &message{Type: msgWelcome, Proto: peer}
+				if explain {
+					reply.Err = fmt.Sprintf("serve: client speaks protocol %d, server %d", hello.Proto, peer)
+				}
+				writeHandshake(srvEnd, reply)
+			}()
+			_, err = NewClient(cliEnd)
+			cliEnd.Close()
+			if err == nil {
+				t.Fatalf("client accepted protocol %d", peer)
+			}
+			fragments := []string{fmt.Sprintf("protocol %d", peer), fmt.Sprintf("client %d", ProtocolVersion)}
+			if explain {
+				fragments = []string{fmt.Sprintf("protocol %d", ProtocolVersion), fmt.Sprintf("server %d", peer)}
+			}
+			for _, fragment := range fragments {
+				if !strings.Contains(err.Error(), fragment) {
+					t.Fatalf("client rejection %q does not contain %q", err, fragment)
+				}
+			}
 		}
 	}
 }

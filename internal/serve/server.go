@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -17,14 +18,9 @@ import (
 
 // Config tunes the daemon's admission batching.
 type Config struct {
-	// MaxBatch caps how many concurrent requests coalesce into one batched
+	// MaxBatch caps how many queued requests coalesce into one batched
 	// forward pass (default 16).
 	MaxBatch int
-	// MaxWait bounds how long the first request of a batch waits for
-	// company before the batch is dispatched anyway (default 200µs). Zero
-	// or negative disables waiting: a batch takes whatever is already
-	// queued and dispatches immediately.
-	MaxWait time.Duration
 	// Logf, when set, receives connection-level events (accepts, protocol
 	// rejections, swaps). The default is silence.
 	Logf func(format string, args ...any)
@@ -110,20 +106,24 @@ type pending struct {
 	c   *conn
 	id  uint64
 	ctx *sched.PickContext
+	// admitted is when the request entered the queue; it is read only
+	// when telemetry is wired.
+	admitted time.Time
 }
 
 // conn is one client connection; the write mutex serializes decision
 // replies (written by the batcher) with swap acks and rejections (written
-// by the connection's reader).
+// by the connection's reader), and guards the reused encode buffers.
 type conn struct {
 	rwc io.ReadWriteCloser
 	wmu sync.Mutex
+	fw  frameWriter
 }
 
 func (c *conn) send(m *message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return writeMessage(c.rwc, m)
+	return c.fw.write(m)
 }
 
 // NewServer builds a daemon serving the agent's decisions for the given
@@ -202,7 +202,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return fmt.Errorf("serve: accept: %w", err)
 		}
-		c := &conn{rwc: rwc}
+		c := &conn{rwc: rwc, fw: frameWriter{w: rwc}}
 		s.mu.Lock()
 		if s.draining {
 			s.mu.Unlock()
@@ -259,13 +259,16 @@ func (s *Server) serveConn(c *conn) {
 		c.rwc.Close()
 	}()
 
-	hello, err := readMessage(c.rwc)
+	// No other goroutine writes to the connection until it has admitted a
+	// request, so the handshake writes bypass the write mutex.
+	r := bufio.NewReader(c.rwc)
+	hello, err := readHandshake(r)
 	if err != nil || hello.Type != msgHello {
 		s.cfg.Logf("serve: dropping connection without a valid hello: %v", err)
 		return
 	}
 	if hello.Proto != ProtocolVersion {
-		c.send(&message{
+		writeHandshake(c.rwc, &message{
 			Type:  msgWelcome,
 			Proto: ProtocolVersion,
 			Err:   fmt.Sprintf("serve: client speaks protocol %d, server %d", hello.Proto, ProtocolVersion),
@@ -281,12 +284,12 @@ func (s *Server) serveConn(c *conn) {
 		Resources:    s.sys.Resources,
 		Capacities:   s.sys.Capacities,
 	}
-	if err := c.send(welcome); err != nil {
+	if err := writeHandshake(c.rwc, welcome); err != nil {
 		return
 	}
 
 	for {
-		m, err := readMessage(c.rwc)
+		m, err := readMessage(r)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				s.cfg.Logf("serve: connection read: %v", err)
@@ -332,12 +335,18 @@ func (s *Server) handleDecide(c *conn, m *message) {
 	}
 	s.inflight.Add(1)
 	s.mu.Unlock()
-	s.admit <- &pending{c: c, id: m.ID, ctx: ctx}
+	p := &pending{c: c, id: m.ID, ctx: ctx}
+	if s.m.timed {
+		p.admitted = time.Now()
+	}
+	s.admit <- p
 }
 
-// batcher is the admission loop: block for the first pending request, then
-// coalesce whatever arrives within MaxWait (up to MaxBatch) into one
-// batched forward pass.
+// batcher is the admission loop. It is work-conserving: it blocks for the
+// first pending request, adds whatever else is already queued (up to
+// MaxBatch), and dispatches at once. Under load, batches form from the
+// requests that arrive while the previous forward pass runs; a lone
+// request never waits for company.
 func (s *Server) batcher() {
 	defer close(s.batcherDone)
 	var (
@@ -346,40 +355,17 @@ func (s *Server) batcher() {
 		picks []int
 	)
 	for first := range s.admit {
-		// Clock reads happen only here, at observation boundaries, and only
-		// when telemetry is wired: they never influence batching or picks.
-		var tAdmit time.Time
-		if s.m.timed {
-			tAdmit = time.Now()
-		}
 		batch = append(batch[:0], first)
-		if s.cfg.MaxWait > 0 {
-			timer := time.NewTimer(s.cfg.MaxWait)
-		wait:
-			for len(batch) < s.cfg.MaxBatch {
-				select {
-				case p, ok := <-s.admit:
-					if !ok {
-						break wait
-					}
-					batch = append(batch, p)
-				case <-timer.C:
-					break wait
-				}
-			}
-			timer.Stop()
-		} else {
-		drain:
-			for len(batch) < s.cfg.MaxBatch {
-				select {
-				case p, ok := <-s.admit:
-					if !ok {
-						break drain
-					}
-					batch = append(batch, p)
-				default:
+	drain:
+		for len(batch) < s.cfg.MaxBatch {
+			select {
+			case p, ok := <-s.admit:
+				if !ok {
 					break drain
 				}
+				batch = append(batch, p)
+			default:
+				break drain
 			}
 		}
 
@@ -387,10 +373,14 @@ func (s *Server) batcher() {
 		for _, p := range batch {
 			ctxs = append(ctxs, p.ctx)
 		}
+		// Clock reads happen only at observation boundaries, and only when
+		// telemetry is wired: they never influence batching or picks. The
+		// batch's first request is its oldest, so its queueing time is the
+		// batch's wait.
 		var tDecide time.Time
 		if s.m.timed {
 			tDecide = time.Now()
-			s.m.batchWait.RecordDuration(tDecide.Sub(tAdmit))
+			s.m.batchWait.RecordDuration(tDecide.Sub(first.admitted))
 		}
 		var version uint64
 		picks, version = s.eng.decide(ctxs, picks)

@@ -4,8 +4,8 @@
 //
 //	uint32 payload length (big endian)
 //	uint32 CRC-32 (IEEE) of the payload
-//	payload bytes (one self-contained encoding, typically an independent
-//	gob stream)
+//	payload bytes (one self-contained encoding: an independent gob stream,
+//	or the decision service's fixed binary layout)
 //
 // Frames are self-delimiting and independently decodable, so a single
 // damaged frame is detectable (CRC failure) without desynchronizing a
@@ -38,30 +38,48 @@ var ErrCorruptFrame = errors.New("wire: corrupt frame")
 // mismatched frames via WriteRawFrame.
 func Checksum(payload []byte) uint32 { return crc32.ChecksumIEEE(payload) }
 
-// WriteFrame writes payload as one well-formed frame. Writers serialize
-// frames themselves (callers that interleave frames from multiple goroutines
-// hold a mutex around the call).
-func WriteFrame(w io.Writer, payload []byte) error {
+// headerBytes is the size of a frame header: the payload length, then its
+// checksum.
+const headerBytes = 8
+
+// AppendFrame appends payload to dst as one well-formed frame and returns the
+// extended slice, so a writer can build each frame in a reusable buffer and
+// hand it to the connection in a single Write.
+func AppendFrame(dst, payload []byte) ([]byte, error) {
 	if len(payload) > MaxFrameBytes {
-		return fmt.Errorf("wire: frame of %d bytes exceeds the %d-byte frame bound", len(payload), MaxFrameBytes)
+		return dst, fmt.Errorf("wire: frame of %d bytes exceeds the %d-byte frame bound", len(payload), MaxFrameBytes)
 	}
-	return WriteRawFrame(w, payload, len(payload), Checksum(payload))
+	return appendRawFrame(dst, payload, len(payload), Checksum(payload)), nil
+}
+
+func appendRawFrame(dst, payload []byte, declaredLen int, sum uint32) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(declaredLen))
+	dst = binary.BigEndian.AppendUint32(dst, sum)
+	return append(dst, payload...)
+}
+
+// WriteFrame writes payload as one well-formed frame, in one Write call.
+// Writers serialize frames themselves (callers that interleave frames from
+// multiple goroutines hold a mutex around the call).
+func WriteFrame(w io.Writer, payload []byte) error {
+	frame, err := AppendFrame(make([]byte, 0, headerBytes+len(payload)), payload)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("wire: writing frame: %w", err)
+	}
+	return nil
 }
 
 // WriteRawFrame writes a frame with the length and checksum the header
 // claims, independent of the actual payload bytes. Fault harnesses call it
 // with a deliberately wrong combination (flipped payload byte, over-long
 // declared length) to manufacture corrupt and truncated frames; every healthy
-// path goes through WriteFrame.
+// path goes through WriteFrame or AppendFrame.
 func WriteRawFrame(w io.Writer, payload []byte, declaredLen int, sum uint32) error {
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(declaredLen))
-	binary.BigEndian.PutUint32(hdr[4:8], sum)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("wire: writing frame payload: %w", err)
+	if _, err := w.Write(appendRawFrame(nil, payload, declaredLen, sum)); err != nil {
+		return fmt.Errorf("wire: writing frame: %w", err)
 	}
 	return nil
 }
@@ -70,7 +88,7 @@ func WriteRawFrame(w io.Writer, payload []byte, declaredLen int, sum uint32) err
 // through untouched so callers can distinguish a clean close from damage; any
 // length or checksum problem wraps ErrCorruptFrame.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [8]byte
+	var hdr [headerBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF

@@ -131,3 +131,62 @@ func TestCleanCloseIsEOF(t *testing.T) {
 		t.Fatalf("mid-header EOF returned %v, want a loud error", err)
 	}
 }
+
+// writeCounter records the size of every Write call it receives.
+type writeCounter struct {
+	bytes.Buffer
+	writes []int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestFrameIsOneWrite pins that a frame reaches the connection in a single
+// Write — one syscall, and one segment under TCP_NODELAY — on the healthy
+// path and on the fault harness's raw path alike.
+func TestFrameIsOneWrite(t *testing.T) {
+	var w writeCounter
+	payload := []byte("one frame, one write")
+	if err := WriteFrame(&w, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteRawFrame(&w, payload, len(payload)+5, Checksum(payload)); err != nil {
+		t.Fatal(err)
+	}
+	want := headerBytes + len(payload)
+	if len(w.writes) != 2 || w.writes[0] != want || w.writes[1] != want {
+		t.Fatalf("two frames took writes of %v bytes, want [%d %d]", w.writes, want, want)
+	}
+}
+
+// TestAppendFrameMatchesWriteFrame checks that frames appended into one
+// reused buffer are the bytes WriteFrame emits and decode back in order.
+func TestAppendFrameMatchesWriteFrame(t *testing.T) {
+	payloads := [][]byte{nil, []byte("a"), bytes.Repeat([]byte{7}, 300)}
+	var want bytes.Buffer
+	var got []byte
+	for _, p := range payloads {
+		if err := WriteFrame(&want, p); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if got, err = AppendFrame(got, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("AppendFrame bytes differ from WriteFrame bytes")
+	}
+	r := bytes.NewReader(got)
+	for i, p := range payloads {
+		back, err := ReadFrame(r)
+		if err != nil || !bytes.Equal(back, p) {
+			t.Fatalf("frame %d: %q, %v", i, back, err)
+		}
+	}
+	if _, err := AppendFrame(got[:0], make([]byte, MaxFrameBytes+1)); err == nil {
+		t.Fatal("AppendFrame accepted an oversize payload")
+	}
+}
