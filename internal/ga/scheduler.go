@@ -23,10 +23,28 @@ func DefaultConfig() Config {
 }
 
 // Scheduler is the multi-objective GA picker. For a fair comparison it uses
-// the same window as MRSch (§IV-D).
+// the same window as MRSch (§IV-D). It owns its search scratch (see the
+// package comment), so it is not safe for concurrent use.
 type Scheduler struct {
 	cfg Config
 	rng *rand.Rand
+
+	// pop and next are the double-buffered population: P rows of w window
+	// indices, swapped each generation.
+	pop, next []int
+	// objs holds P row views of one flat P×R buffer, one utilization
+	// vector per individual.
+	objs  [][]float64
+	rank  []int
+	crowd []float64
+	dist  []float64 // one front's crowding distances
+	nds   sortScratch
+	srt   crowdSorter
+	// base is the cluster's free vector, read once per pick; free is
+	// evaluate's working copy of it; capacity is the per-resource total.
+	base, free, capacity []int
+	used                 []bool // orderCrossover's taken-values set
+	lo, hi               []float64
 }
 
 // New builds a GA scheduler.
@@ -37,7 +55,15 @@ func New(cfg Config) *Scheduler {
 	if cfg.Generations < 1 {
 		cfg.Generations = 1
 	}
-	return &Scheduler{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	p := cfg.Population
+	return &Scheduler{
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		objs:  make([][]float64, p),
+		rank:  make([]int, p),
+		crowd: make([]float64, p),
+		dist:  make([]float64, p),
+	}
 }
 
 var _ sched.Picker = (*Scheduler)(nil)
@@ -53,73 +79,96 @@ func (g *Scheduler) Pick(ctx *sched.PickContext) int {
 	if w == 1 {
 		return 0
 	}
+	g.reset(ctx, w)
+	p := g.cfg.Population
+	row := func(buf []int, i int) []int { return buf[i*w : (i+1)*w] }
 
-	pop := make([][]int, g.cfg.Population)
-	for i := range pop {
-		pop[i] = g.rng.Perm(w)
-	}
-	objs := make([][]float64, len(pop))
-	for i, perm := range pop {
-		objs[i] = g.evaluate(ctx, perm)
+	for i := 0; i < p; i++ {
+		g.perm(row(g.pop, i))
+		g.evaluate(ctx, row(g.pop, i), g.objs[i])
 	}
 
 	for gen := 0; gen < g.cfg.Generations; gen++ {
-		fronts := NonDominatedSort(objs)
-		rank := make([]int, len(pop))
-		crowd := make([]float64, len(pop))
+		fronts := g.nds.nonDominatedSort(g.objs)
 		for fi, front := range fronts {
-			d := CrowdingDistance(objs, front)
+			d := g.dist[:len(front)]
+			crowdingDistance(g.objs, front, d, &g.srt)
 			for k, idx := range front {
-				rank[idx] = fi
-				crowd[idx] = d[k]
+				g.rank[idx] = fi
+				g.crowd[idx] = d[k]
 			}
 		}
-		next := make([][]int, 0, len(pop))
-		for len(next) < len(pop) {
-			p1 := g.tournament(rank, crowd)
-			p2 := g.tournament(rank, crowd)
-			var child []int
+		for i := 0; i < p; i++ {
+			p1 := g.tournament(g.rank, g.crowd)
+			p2 := g.tournament(g.rank, g.crowd)
+			child := row(g.next, i)
 			if g.rng.Float64() < g.cfg.CrossProb {
-				child = orderCrossover(pop[p1], pop[p2], g.rng)
+				orderCrossoverInto(child, g.used, row(g.pop, p1), row(g.pop, p2), g.rng)
 			} else {
-				child = append([]int(nil), pop[p1]...)
+				copy(child, row(g.pop, p1))
 			}
 			if g.rng.Float64() < g.cfg.MutProb {
 				swapMutate(child, g.rng)
 			}
-			next = append(next, child)
 		}
-		// Elitism: preserve the current front-0 knee in slot 0.
-		if len(fronts) > 0 {
-			if knee := Knee(objs, fronts[0]); knee >= 0 {
-				next[0] = append([]int(nil), pop[knee]...)
-			}
-		}
-		pop = next
-		for i, perm := range pop {
-			objs[i] = g.evaluate(ctx, perm)
+		// Elitism: preserve the current front-0 knee in slot 0 (a non-empty
+		// population always has a front 0).
+		copy(row(g.next, 0), row(g.pop, knee(g.objs, fronts[0], g.lo, g.hi)))
+		g.pop, g.next = g.next, g.pop
+		for i := 0; i < p; i++ {
+			g.evaluate(ctx, row(g.pop, i), g.objs[i])
 		}
 	}
 
-	fronts := NonDominatedSort(objs)
-	knee := Knee(objs, fronts[0])
-	perm := pop[knee]
-
-	free := ctx.Cluster.FreeVec()
+	fronts := g.nds.nonDominatedSort(g.objs)
+	perm := row(g.pop, knee(g.objs, fronts[0], g.lo, g.hi))
 	for _, wi := range perm {
-		if fitsVec(ctx.Window[wi].Demand, free) {
+		if fitsVec(ctx.Window[wi].Demand, g.base) {
 			return wi
 		}
 	}
 	return perm[0]
 }
 
-// evaluate greedily packs jobs in permutation order onto the current free
-// resources and returns the resulting per-resource utilization — the
-// multi-objective fitness (maximize each resource's utilization).
-func (g *Scheduler) evaluate(ctx *sched.PickContext, perm []int) []float64 {
+// reset sizes the scratch for a window of w jobs on ctx's cluster and reads
+// the cluster's free and total resources once for the whole pick.
+func (g *Scheduler) reset(ctx *sched.PickContext, w int) {
+	p := g.cfg.Population
+	g.pop = grow(g.pop, p*w)
+	g.next = grow(g.next, p*w)
+	g.used = grow(g.used, w)
 	cl := ctx.Cluster
-	free := cl.FreeVec()
+	nr := cl.NumResources()
+	if len(g.base) != nr {
+		g.base, g.free, g.capacity = make([]int, nr), make([]int, nr), make([]int, nr)
+		g.lo, g.hi = make([]float64, nr), make([]float64, nr)
+		buf := make([]float64, p*nr)
+		for i := range g.objs {
+			g.objs[i] = buf[i*nr : (i+1)*nr : (i+1)*nr]
+		}
+	}
+	for r := range g.base {
+		g.base[r] = cl.Free(r)
+		g.capacity[r] = cl.Capacity(r)
+	}
+}
+
+// perm fills dst with a random permutation of 0..len(dst)-1, drawing
+// exactly what rand.Perm(len(dst)) draws.
+func (g *Scheduler) perm(dst []int) {
+	for i := range dst {
+		j := g.rng.Intn(i + 1)
+		dst[i] = dst[j]
+		dst[j] = i
+	}
+}
+
+// evaluate greedily packs jobs in permutation order onto the current free
+// resources and writes the resulting per-resource utilization into out —
+// the multi-objective fitness (maximize each resource's utilization).
+func (g *Scheduler) evaluate(ctx *sched.PickContext, perm []int, out []float64) {
+	free := g.free
+	copy(free, g.base)
 	for _, wi := range perm {
 		d := ctx.Window[wi].Demand
 		if fitsVec(d, free) {
@@ -128,11 +177,9 @@ func (g *Scheduler) evaluate(ctx *sched.PickContext, perm []int) []float64 {
 			}
 		}
 	}
-	out := make([]float64, cl.NumResources())
 	for r := range out {
-		out[r] = float64(cl.Capacity(r)-free[r]) / float64(cl.Capacity(r))
+		out[r] = float64(g.capacity[r]-free[r]) / float64(g.capacity[r])
 	}
-	return out
 }
 
 func (g *Scheduler) tournament(rank []int, crowd []float64) int {
@@ -157,31 +204,49 @@ func fitsVec(demand, free []int) bool {
 // fill the remaining positions, starting after b and wrapping, with the
 // missing values in the order they appear in p2 (also scanned from b+1).
 func orderCrossover(p1, p2 []int, rng *rand.Rand) []int {
+	child := make([]int, len(p1))
+	orderCrossoverInto(child, make([]bool, len(p1)), p1, p2, rng)
+	return child
+}
+
+// orderCrossoverInto is orderCrossover writing into child, with used as the
+// taken-values scratch (at least len(p1) long; cleared here). The wrapping
+// scans step and wrap by comparison rather than modulo.
+func orderCrossoverInto(child []int, used []bool, p1, p2 []int, rng *rand.Rand) {
 	n := len(p1)
 	a, b := rng.Intn(n), rng.Intn(n)
 	if a > b {
 		a, b = b, a
 	}
-	child := make([]int, n)
-	used := make([]bool, n)
+	used = used[:n]
+	for i := range used {
+		used[i] = false
+	}
 	for i := a; i <= b; i++ {
 		child[i] = p1[i]
 		used[p1[i]] = true
 	}
-	pos := (b + 1) % n
-	for k := 0; k < n; k++ {
-		v := p2[(b+1+k)%n]
+	next := func(i int) int {
+		if i++; i == n {
+			return 0
+		}
+		return i
+	}
+	pos := next(b)
+	src := pos
+	for left := n - (b - a + 1); left > 0; src = next(src) {
+		v := p2[src]
 		if used[v] {
 			continue
 		}
 		for pos >= a && pos <= b {
-			pos = (pos + 1) % n
+			pos = next(pos)
 		}
 		child[pos] = v
 		used[v] = true
-		pos = (pos + 1) % n
+		pos = next(pos)
+		left--
 	}
-	return child
 }
 
 func swapMutate(perm []int, rng *rand.Rand) {
